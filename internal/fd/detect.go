@@ -1,10 +1,6 @@
 package fd
 
-import (
-	"sort"
-
-	"exptrain/internal/dataset"
-)
+import "exptrain/internal/dataset"
 
 // minorityFraction bounds how large an RHS value class may be, relative
 // to its LHS group, and still be flagged as erroneous. Injected errors
@@ -79,54 +75,6 @@ func minorityFromPartition(p *Partition, rel *dataset.Relation, rhs int, flagged
 		}
 	}
 	sc.cnt, sc.touched = cnt[:0], touched[:0]
-}
-
-// MinorityRowsNaive is the original string-keyed implementation,
-// retained as the reference the dictionary/PLI fast paths are
-// property-tested against.
-func MinorityRowsNaive(f FD, rel *dataset.Relation) map[int]struct{} {
-	lhs := f.LHS.Attrs()
-	groups := make(map[string][]int)
-	for i := 0; i < rel.NumRows(); i++ {
-		key := rel.ProjectKey(i, lhs)
-		groups[key] = append(groups[key], i)
-	}
-	flagged := make(map[int]struct{})
-	for _, rows := range groups {
-		if len(rows) < 2 {
-			continue
-		}
-		counts := make(map[string]int)
-		for _, r := range rows {
-			counts[rel.Value(r, f.RHS)]++
-		}
-		if len(counts) < 2 {
-			continue
-		}
-		// Plurality value, ties toward the smallest value.
-		vals := make([]string, 0, len(counts))
-		for v := range counts {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		majority := vals[0]
-		for _, v := range vals[1:] {
-			if counts[v] > counts[majority] {
-				majority = v
-			}
-		}
-		maxClass := int(minorityFraction * float64(len(rows)))
-		if maxClass < 1 {
-			maxClass = 1
-		}
-		for _, r := range rows {
-			v := rel.Value(r, f.RHS)
-			if v != majority && counts[v] <= maxClass {
-				flagged[r] = struct{}{}
-			}
-		}
-	}
-	return flagged
 }
 
 // DetectErrors unions MinorityRows over a set of believed FDs: the rows

@@ -97,36 +97,6 @@ func ComputeStats(f FD, rel *dataset.Relation) Stats {
 	return PartitionOn(rel, f.LHS).StatsFor(rel, f.RHS)
 }
 
-// ComputeStatsNaive is the original string-keyed implementation,
-// retained as the reference the dictionary/PLI fast paths are
-// property-tested against.
-func ComputeStatsNaive(f FD, rel *dataset.Relation) Stats {
-	lhs := f.LHS.Attrs()
-	n := rel.NumRows()
-	groups := make(map[string]map[string]int)
-	sizes := make(map[string]int)
-	for i := 0; i < n; i++ {
-		key := rel.ProjectKey(i, lhs)
-		rhsVal := rel.Value(i, f.RHS)
-		cls := groups[key]
-		if cls == nil {
-			cls = make(map[string]int)
-			groups[key] = cls
-		}
-		cls[rhsVal]++
-		sizes[key]++
-	}
-	st := Stats{Rows: n}
-	for key, g := range sizes {
-		st.Agreeing += g * (g - 1) / 2
-		for _, c := range groups[key] {
-			st.Compliant += c * (c - 1) / 2
-		}
-	}
-	st.Violating = st.Agreeing - st.Compliant
-	return st
-}
-
 // G1 computes the scaled g₁ measure of f over rel.
 func G1(f FD, rel *dataset.Relation) float64 {
 	return ComputeStats(f, rel).G1()
@@ -163,34 +133,6 @@ func ViolatingPairs(f FD, rel *dataset.Relation) []dataset.Pair {
 // partitions.
 func AgreeingPairs(f FD, rel *dataset.Relation) []dataset.Pair {
 	return agreeingFromPartition(PartitionOn(rel, f.LHS))
-}
-
-// AgreeingPairsNaive is the original string-keyed implementation,
-// retained as the reference the dictionary/PLI fast paths are
-// property-tested against (including the exact enumeration order, which
-// the sampling pool's determinism rides on).
-func AgreeingPairsNaive(f FD, rel *dataset.Relation) []dataset.Pair {
-	lhs := f.LHS.Attrs()
-	n := rel.NumRows()
-	groups := make(map[string][]int)
-	order := make([]string, 0)
-	for i := 0; i < n; i++ {
-		key := rel.ProjectKey(i, lhs)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	var out []dataset.Pair
-	for _, key := range order {
-		rows := groups[key]
-		for a := 0; a < len(rows); a++ {
-			for b := a + 1; b < len(rows); b++ {
-				out = append(out, dataset.NewPair(rows[a], rows[b]))
-			}
-		}
-	}
-	return out
 }
 
 // Cell identifies one cell of a relation by row and attribute position.

@@ -117,26 +117,6 @@ func partitionSingle(rel *dataset.Relation, a int, sc *pliScratch) *Partition {
 	return p
 }
 
-// PartitionOnNaive is the original string-keyed implementation, retained
-// as the reference the dictionary/PLI fast paths are property-tested
-// against.
-func PartitionOnNaive(rel *dataset.Relation, x AttrSet) *Partition {
-	attrs := x.Attrs()
-	groups := make(map[string][]int32)
-	for i := 0; i < rel.NumRows(); i++ {
-		key := rel.ProjectKey(i, attrs)
-		groups[key] = append(groups[key], int32(i))
-	}
-	p := &Partition{Rows: rel.NumRows()}
-	for _, rows := range groups {
-		if len(rows) >= 2 {
-			p.Classes = append(p.Classes, rows)
-		}
-	}
-	sort.Slice(p.Classes, func(i, j int) bool { return p.Classes[i][0] < p.Classes[j][0] })
-	return p
-}
-
 // AgreeingPairCount returns Σ C(|class|, 2), the number of unordered
 // pairs agreeing on the partition's attribute set.
 func (p *Partition) AgreeingPairCount() int {

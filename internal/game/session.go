@@ -32,6 +32,9 @@ type Session struct {
 	pool    *sampling.Pool
 	k       int
 	pending []dataset.Pair
+	// drawn is the learner RNG position from just before the pending
+	// round was presented; DiscardPending rewinds to it.
+	drawn [4]uint64
 	// allowed and seen are Submit's validation scratch, cleared and
 	// reused every round so steady-state submission allocates nothing
 	// for bookkeeping (the fresh/full labeling slices stay freshly
@@ -164,6 +167,7 @@ func (s *Session) NextContext(ctx context.Context) ([]dataset.Pair, error) {
 	}
 	t := s.eng.round()
 	s.eng.obs.RoundStarted(t)
+	s.drawn = s.eng.learner.RNGState()
 	presented := s.eng.learner.Present(s.rel, s.pool.Remaining(), s.k)
 	s.pool.MarkShown(presented)
 	s.pending = presented
@@ -293,12 +297,19 @@ func (s *Session) PendingCount() int { return len(s.pending) }
 func (s *Session) RemainingPairs() int { return s.pool.RemainingCount() }
 
 // DiscardPending drops an unsubmitted round so the session can be
-// snapshotted, returning the discarded pairs (nil when idle). The pairs
-// stay consumed in this in-memory pool, but a session resumed from the
-// snapshot rebuilds its pool from submitted history only, so they
-// become presentable again.
+// snapshotted, returning the discarded pairs (nil when idle). The
+// learner RNG rewinds to where it stood before the round was
+// presented, so a session resumed from the snapshot draws exactly what
+// one that never presented the round would. The pairs stay consumed in
+// this in-memory pool, but a resumed session rebuilds its pool from
+// submitted history only, so they become presentable again.
 func (s *Session) DiscardPending() []dataset.Pair {
 	p := s.pending
+	if p != nil {
+		// drawn was read from a live RNG, which is never all-zero, so the
+		// restore cannot fail.
+		_ = s.eng.learner.RestoreRNG(s.drawn)
+	}
 	s.pending = nil
 	return p
 }

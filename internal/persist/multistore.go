@@ -14,7 +14,9 @@ import (
 //
 //   - Put writes to every replica concurrently and acks as soon as W
 //     replicas confirm (default W = majority). Stragglers finish in the
-//     background; Flush waits them out.
+//     background; Flush waits them out. Each replica takes an id's
+//     writes in Put order, so a straggler never lands over a newer
+//     snapshot on its replica.
 //   - Get reads every replica, requires a read quorum of N-W+1 answers
 //     (so any read intersects any committed write), returns the
 //     freshest intact snapshot (most recorded rounds), and
@@ -37,7 +39,21 @@ type MultiStore struct {
 
 	mu    sync.Mutex
 	stats []ReplicaStats // per replica; guarded by mu
-	wg    sync.WaitGroup // in-flight background (post-ack) writes
+	// writes maps an id to its latest Put's per-replica writes; guarded
+	// by mu. Each replica takes an id's writes in Put order: a write
+	// waits for the previous Put's write to the same replica, so a
+	// straggler never lands over a newer snapshot.
+	writes map[string]*putWrites
+	wg     sync.WaitGroup // in-flight background (post-ack) writes
+}
+
+// putWrites tracks one Put's writes to the replicas.
+type putWrites struct {
+	// done[i] closes once the write to replica i finished.
+	done []chan struct{}
+	// left counts writes still running; changed only under the
+	// MultiStore's lock.
+	left int
 }
 
 // ReplicaStats counts one replica's operations, failures, and repairs.
@@ -73,6 +89,7 @@ func NewMultiStore(replicas []Store, writeQuorum int) (*MultiStore, error) {
 		replicas: replicas,
 		w:        w,
 		stats:    make([]ReplicaStats, len(replicas)),
+		writes:   make(map[string]*putWrites),
 	}, nil
 }
 
@@ -129,12 +146,31 @@ func (s *MultiStore) Put(ctx context.Context, id string, snap *Snapshot) error {
 		err error
 	}
 	results := make(chan result, n)
+	cur := &putWrites{done: make([]chan struct{}, n), left: n}
+	for i := range cur.done {
+		cur.done[i] = make(chan struct{})
+	}
+	s.mu.Lock()
+	prev := s.writes[id]
+	s.writes[id] = cur
+	s.mu.Unlock()
 	s.wg.Add(n)
 	for i, r := range s.replicas {
 		go func(i int, r Store) {
 			defer s.wg.Done()
-			err := r.Put(ctx, id, snap)
+			var err error
+			if prev != nil {
+				select {
+				case <-prev.done[i]:
+				case <-ctx.Done():
+					err = ctx.Err()
+				}
+			}
+			if err == nil {
+				err = r.Put(ctx, id, snap)
+			}
 			s.note(i, err, false)
+			s.wrote(id, cur, i)
 			results <- result{i, err}
 		}(i, r)
 	}
@@ -159,6 +195,19 @@ func (s *MultiStore) Put(ctx context.Context, id string, snap *Snapshot) error {
 	// Unreachable: one of the two branches above fires by the last result.
 	return fmt.Errorf("persist: put %q acked by %d of %d replicas (need %d): %w",
 		id, acks, n, s.w, errors.Join(errs...))
+}
+
+// wrote marks one replica write of a Put finished, releasing the next
+// Put's write to that replica, and forgets the id's order once every
+// write of its latest Put finished.
+func (s *MultiStore) wrote(id string, w *putWrites, i int) {
+	close(w.done[i])
+	s.mu.Lock()
+	w.left--
+	if w.left == 0 && s.writes[id] == w {
+		delete(s.writes, id)
+	}
+	s.mu.Unlock()
 }
 
 // readResult is one replica's answer to a Get.

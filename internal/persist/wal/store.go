@@ -171,31 +171,34 @@ func (s *Store) AppendRounds(ctx context.Context, deltas []*persist.RoundDelta) 
 	return nil
 }
 
-// foldTail applies a session's committed tail onto a snapshot, in
-// round order. Caller passes a snapshot it owns.
-func (s *Store) foldTail(snap *persist.Snapshot, id string) error {
-	s.mu.Lock()
-	tail := append([]*persist.RoundDelta(nil), s.tail[id]...)
-	s.mu.Unlock()
-	for _, d := range tail {
-		if _, err := persist.ApplyDelta(snap, d); err != nil {
-			return fmt.Errorf("replaying wal for %q: %w", id, err)
-		}
-	}
-	return nil
-}
-
 // Get implements persist.Store: the inner snapshot plus the committed
-// log suffix — snapshot + replay, on every read.
+// log suffix — snapshot + replay, on every read. A compaction whose
+// Put lands between the inner read and the tail copy has pruned rounds
+// the read snapshot lacks; the session's watermark moved then, so the
+// read starts over against the folded snapshot.
 func (s *Store) Get(ctx context.Context, id string) (*persist.Snapshot, error) {
-	snap, err := s.inner.Get(ctx, id)
-	if err != nil {
-		return nil, err
+	for {
+		s.mu.Lock()
+		water := s.water[id]
+		s.mu.Unlock()
+		snap, err := s.inner.Get(ctx, id)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		moved := s.water[id] != water
+		tail := append([]*persist.RoundDelta(nil), s.tail[id]...)
+		s.mu.Unlock()
+		if moved {
+			continue
+		}
+		for _, d := range tail {
+			if _, err := persist.ApplyDelta(snap, d); err != nil {
+				return nil, fmt.Errorf("replaying wal for %q: %w", id, err)
+			}
+		}
+		return snap, nil
 	}
-	if err := s.foldTail(snap, id); err != nil {
-		return nil, err
-	}
-	return snap, nil
 }
 
 // Put implements persist.Store: the snapshot lands in the inner store

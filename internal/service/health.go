@@ -33,7 +33,7 @@ type ShardHealth struct {
 	WalPending int `json:"wal_pending,omitempty"`
 }
 
-// Health implements Shard.
+// Health reports this shard's slice of the health report.
 func (sh *shard) Health() ShardHealth {
 	sh.mu.Lock()
 	h := ShardHealth{

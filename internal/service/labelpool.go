@@ -43,7 +43,8 @@ const (
 	// TicketQueued: accepted, waiting for the drain.
 	TicketQueued TicketState = "queued"
 	// TicketApplied: the round was applied to the session (or was an
-	// identical replay of an already-applied round).
+	// identical replay of an already-applied round). On a store that
+	// takes round appends, the round's append has returned by then.
 	TicketApplied TicketState = "applied"
 	// TicketFailed: the round could not be applied; Error says why. The
 	// round slot is free again — enqueue a corrected submission.
@@ -350,8 +351,7 @@ func (sh *shard) drainLoop(p *labelPool) {
 // the shard's draining flag: Shutdown flushes the pools before
 // checkpointing, and a ticketed submission must not be dropped because
 // shutdown won the race.
-func (sh *shard) drainAcquire(id string) (*entry, error) {
-	ctx := context.Background() //etlint:ignore ctxflow the drain goroutine is detached by design: a ticketed submission must outlive its submitter's request context (see DESIGN §11)
+func (sh *shard) drainAcquire(ctx context.Context, id string) (*entry, error) {
 	var err error
 	for attempt := 0; attempt < 400; attempt++ {
 		var e *entry
@@ -371,7 +371,8 @@ func (sh *shard) drainAcquire(id string) (*entry, error) {
 // (applied or resolved at least one item); a false return with a
 // non-empty queue means the drain should park.
 func (sh *shard) drainOnce(p *labelPool) bool {
-	e, err := sh.drainAcquire(p.id)
+	ctx := context.Background() //etlint:ignore ctxflow the drain goroutine is detached by design: a ticketed submission must outlive its submitter's request context, and a group commit or checkpoint other sessions ride on must not be torn by one caller (see DESIGN §11)
+	e, err := sh.drainAcquire(ctx, p.id)
 	if err != nil {
 		// The session is unreachable (not found, corrupt snapshot, ...):
 		// fail every queued ticket so clients see why.
@@ -395,14 +396,11 @@ func (sh *shard) drainOnce(p *labelPool) bool {
 		switch {
 		case it.round < cur:
 			// The round landed while this item was queued (direct submit or
-			// an earlier batch). An identical evidence replay is a success —
-			// the idempotency contract — anything else lost the race.
-			rec := e.sess.Records()[it.round]
-			if labelsDigest(it.labeled, nil) == labelsDigest(rec.Labeled, rec.Revisions) {
-				p.resolveLocked(it.ticketID, TicketApplied, nil)
+			// an earlier batch): the idempotency contract decides.
+			if err := replayedLocked(e, it.round, it.labeled); err != nil {
+				p.resolveLocked(it.ticketID, TicketFailed, err)
 			} else {
-				p.resolveLocked(it.ticketID, TicketFailed,
-					fmt.Errorf("%w: round %d was applied with different labels", ErrRoundMismatch, it.round))
+				p.resolveLocked(it.ticketID, TicketApplied, nil)
 			}
 		case it.round == cur+len(run) && len(run) < sh.opts.DrainBatch:
 			run = append(run, it)
@@ -416,17 +414,10 @@ func (sh *shard) drainOnce(p *labelPool) bool {
 		return false // gap: the next round isn't queued yet
 	}
 
-	batch := make([][]belief.Labeling, len(run))
-	for i, it := range run {
-		batch[i] = it.labeled
-	}
-	applied, serr := e.sess.SubmitBatch(context.Background(), batch) //etlint:ignore ctxflow ticketed rounds are applied by the detached drain; cancelling a submitter must not abort a batch other sessions' tickets ride on
+	applied, serr := sh.applyLocked(ctx, e, run)
 
 	p.mu.Lock()
-	for i := 0; i < applied; i++ {
-		p.resolveLocked(run[i].ticketID, TicketApplied, nil)
-	}
-	if serr != nil && applied < len(run) {
+	if serr != nil {
 		p.resolveLocked(run[applied].ticketID, TicketFailed, serr)
 		if errors.Is(serr, game.ErrPoolExhausted) {
 			// The session is complete: nothing queued can ever apply.
@@ -451,35 +442,15 @@ func (sh *shard) drainOnce(p *labelPool) bool {
 	}
 	p.mu.Unlock()
 
-	if applied > 0 {
-		sh.notifyStreams(p.id)
-		// WAL-era durability: the whole applied run rides one group
-		// commit (one append call, one fsync shared with whatever other
-		// sessions' drains queued meanwhile) before the tickets' rounds
-		// count as durable. Failure degrades the session and keeps the
-		// deltas for the next flush, exactly like the direct-submit path.
-		//etlint:ignore ctxflow ticketed rounds are persisted by the detached drain; a submitter's context must not abort a group commit other sessions ride on
-		_ = sh.flushWal(context.Background(), e)
-	}
-	if ckpt && e.sess.PendingCount() == 0 {
+	if ckpt {
 		// With a WAL-backed store this snapshot is the compaction point —
-		// the piggyback that used to be the only durability is now just
 		// the fold that lets the log drop committed segments. Without a
-		// WAL it remains the amortized checkpoint: one snapshot per
+		// WAL it is the amortized checkpoint: one snapshot per
 		// CheckpointEvery applied rounds, taken while we still hold the
-		// entry lock. Failure leaves the session live and degraded,
-		// exactly like an explicit Snapshot; the drain keeps going.
-		if snap, err := e.sess.Snapshot(); err == nil {
-			//etlint:ignore ctxflow amortized checkpoints belong to the drain's lifetime, not any request's; a caller context here could tear a snapshot mid-write
-			if err := sh.storeRetry(context.Background(), "checkpointing "+e.id, func(ctx context.Context) error {
-				return sh.store.Put(ctx, e.id, snap)
-			}); err != nil {
-				sh.setDegraded(e.id, true)
-			} else {
-				e.snapshotLandedLocked()
-				sh.setDegraded(e.id, false)
-			}
-		}
+		// entry lock. A failure leaves the session live and degraded,
+		// exactly like an explicit Snapshot, and the drain keeps going; a
+		// round left pending by a failed batch skips it.
+		_ = sh.checkpointLocked(ctx, e)
 	}
 	return applied > 0 || serr != nil
 }

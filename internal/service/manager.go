@@ -259,15 +259,6 @@ func NewManager(opts Options) *Manager {
 // Store returns the checkpoint store.
 func (m *Manager) Store() persist.Store { return m.store }
 
-// Shards returns the serving shards in index order.
-func (m *Manager) Shards() []Shard {
-	out := make([]Shard, len(m.shards))
-	for i, sh := range m.shards {
-		out[i] = sh
-	}
-	return out
-}
-
 // setNow installs a clock on every shard — a test hook.
 func (m *Manager) setNow(now func() time.Time) {
 	for _, sh := range m.shards {
@@ -277,37 +268,40 @@ func (m *Manager) setNow(now func() time.Time) {
 	}
 }
 
-// buildSession constructs the game.Session for a spec, optionally
-// resuming from a snapshot, along with its stats-collecting observer.
-// When wrec is non-nil it is installed alongside the stats observer so
-// every scored round also yields a WAL delta. Everything is
-// deterministic in the spec (injection, split and pool all derive from
-// spec.Seed), so an evicted session unparks onto an identical world —
-// and a sharded deployment replays identically to a single-shard one.
-func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.Session, *roundStats, error) {
+// newEntry builds the entry hosting a session of spec — a fresh one,
+// or one resumed from snap when it is non-nil — with its
+// stats-collecting observer, and with a WAL recorder alongside when
+// wal is set, so every scored round also yields a WAL delta. mint
+// names the entry and runs only once the build succeeded, so a failed
+// build never consumes a session id. Create, Resume and unparking all
+// build entries here. Everything is deterministic in the spec
+// (injection, split and pool all derive from spec.Seed), so an evicted
+// session unparks onto an identical world — and a sharded deployment
+// replays identically to a single-shard one.
+func newEntry(spec Spec, snap *persist.Snapshot, wal bool, mint func() (string, error)) (*entry, error) {
 	rel, ds, err := spec.Source.materialize()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sampler, err := sampling.New(spec.Method, spec.Gamma)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rs := &roundStats{eval: spec.Eval}
+	e := &entry{spec: spec, stats: &roundStats{eval: spec.Eval}}
 	cfg := game.SessionConfig{
 		Relation: rel,
 		Sampler:  sampler,
 		K:        spec.K,
 		Seed:     spec.Seed,
-		Observer: rs,
+		Observer: e.stats,
 	}
-	if wrec != nil {
-		wrec.eval = spec.Eval
-		cfg.Observer = game.MultiObserver(rs, wrec)
+	if wal {
+		e.wal = &walRecorder{eval: spec.Eval}
+		cfg.Observer = game.MultiObserver(e.stats, e.wal)
 	}
 	if spec.Eval {
 		if ds == nil {
-			return nil, nil, fmt.Errorf("service: eval needs a synthetic dataset source (no ground-truth FDs for CSV data)")
+			return nil, fmt.Errorf("service: eval needs a synthetic dataset source (no ground-truth FDs for CSV data)")
 		}
 		degree := spec.Degree
 		if degree == 0 {
@@ -320,7 +314,7 @@ func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.S
 			Seed:       spec.Seed ^ 0xE44,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rel = injected.Rel
 		cfg.Relation = rel
@@ -336,17 +330,33 @@ func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.S
 		cfg.Eval = &game.Evaluator{TestRel: rel.Subset(testRows), DirtyRows: dirty}
 	}
 	if snap != nil {
-		sess, err := game.ResumeSession(snap, cfg)
-		if err != nil {
-			return nil, nil, err
+		if e.sess, err = game.ResumeSession(snap, cfg); err != nil {
+			return nil, err
 		}
 		// Restored rounds replay without observer events; backfill them.
-		rs.prime(sess.Records())
-		if wrec != nil {
-			wrec.bind(sess)
+		e.stats.prime(e.sess.Records())
+	} else {
+		if cfg.Space, err = hypothesisSpace(spec, rel); err != nil {
+			return nil, err
 		}
-		return sess, rs, nil
+		if e.sess, err = game.NewSession(cfg); err != nil {
+			return nil, err
+		}
 	}
+	if e.id, err = mint(); err != nil {
+		return nil, err
+	}
+	if e.wal != nil {
+		// Stamped before any round flows: deltas are immutable once
+		// recorded.
+		e.wal.id = e.id
+		e.wal.bind(e.sess)
+	}
+	return e, nil
+}
+
+// hypothesisSpace enumerates a fresh session's FD space.
+func hypothesisSpace(spec Spec, rel *dataset.Relation) (*fd.Space, error) {
 	maxLHS := spec.MaxLHS
 	if maxLHS <= 0 {
 		maxLHS = 2
@@ -357,21 +367,9 @@ func buildSession(spec Spec, snap *persist.Snapshot, wrec *walRecorder) (*game.S
 		MaxFDs: spec.MaxFDs,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	space, err := fd.NewSpace(fds)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Space = space
-	sess, err := game.NewSession(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if wrec != nil {
-		wrec.bind(sess)
-	}
-	return sess, rs, nil
+	return fd.NewSpace(fds)
 }
 
 // mintID draws the next session id, or ErrShuttingDown while draining.
@@ -389,33 +387,7 @@ func (m *Manager) mintID() (string, error) {
 // evicting an idle session there if the shard is full. The returned
 // Info carries the new id.
 func (m *Manager) Create(ctx context.Context, spec Spec) (Info, error) {
-	if err := ctx.Err(); err != nil {
-		return Info{}, err
-	}
-	var wrec *walRecorder
-	if persist.AppenderOf(m.store) != nil {
-		wrec = &walRecorder{}
-	}
-	sess, rs, err := buildSession(spec, nil, wrec)
-	if err != nil {
-		return Info{}, err
-	}
-	id, err := m.mintID()
-	if err != nil {
-		return Info{}, err
-	}
-	if wrec != nil {
-		wrec.id = id // before any round flows; deltas are immutable after recording
-	}
-	sh := m.shardFor(id)
-	e := &entry{id: id, spec: spec, sess: sess, stats: rs, wal: wrec}
-	if err := sh.install(ctx, e); err != nil {
-		return Info{}, err
-	}
-	// WAL-backed sessions checkpoint a genesis snapshot immediately, so
-	// every later round needs only an O(space) append, never a snapshot.
-	sh.genesis(ctx, e)
-	return sh.infoOf(e, false), nil
+	return m.open(ctx, spec, nil)
 }
 
 // Resume registers a new session restored from a snapshot previously
@@ -440,31 +412,38 @@ func (m *Manager) Resume(ctx context.Context, snapshotID string, spec Spec) (Inf
 	if err != nil {
 		return Info{}, err
 	}
-	var wrec *walRecorder
-	if persist.AppenderOf(m.store) != nil {
-		wrec = &walRecorder{}
+	return m.open(ctx, spec, snap)
+}
+
+// open builds a new session — fresh, or resumed from snap — mints its
+// id and installs it on its home shard.
+func (m *Manager) open(ctx context.Context, spec Spec, snap *persist.Snapshot) (Info, error) {
+	if err := ctx.Err(); err != nil {
+		return Info{}, err
 	}
-	sess, rs, err := buildSession(spec, snap, wrec)
+	e, err := newEntry(spec, snap, persist.AppenderOf(m.store) != nil, m.mintID)
 	if err != nil {
 		return Info{}, err
 	}
-	id, err := m.mintID()
-	if err != nil {
-		return Info{}, err
-	}
-	if wrec != nil {
-		wrec.id = id // before any round flows; deltas are immutable after recording
-	}
-	sh := m.shardFor(id)
-	e := &entry{id: id, spec: spec, sess: sess, stats: rs, wal: wrec}
+	sh := m.shardFor(e.id)
 	if err := sh.install(ctx, e); err != nil {
 		return Info{}, err
 	}
-	// The loaded snapshot lives under snapshotID, not the new id: the
-	// resumed session still needs its own base snapshot for appends to
-	// replay onto.
-	sh.genesis(ctx, e)
-	return sh.infoOf(e, false), nil
+	// Installed, the entry is visible: a capacity eviction may already
+	// have parked it, so it is read only under its lock.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.wal != nil && !e.gone {
+		// WAL-backed sessions checkpoint a genesis snapshot immediately,
+		// so every later round needs only an O(space) append, never a
+		// snapshot. A resumed session needs one too: the snapshot it was
+		// loaded from lives under the snapshot's id, not the new one. A
+		// failed genesis degrades the session but does not fail the
+		// creation; its rounds pile up in the recorder until a snapshot
+		// lands.
+		_ = sh.checkpointLocked(ctx, e)
+	}
+	return sh.infoOf(e, e.gone), nil
 }
 
 // Get returns a session's state. A parked session is reported from its

@@ -15,41 +15,6 @@ import (
 	"exptrain/internal/stats"
 )
 
-// Shard is one serving partition of the session space — the surface
-// the Manager (the front-tier router) dispatches to after resolving a
-// session id by rendezvous hash. Each shard owns a disjoint slice of
-// the sessions with its own lock domain: live map, parked set, LRU
-// eviction, degraded bookkeeping, labelpools, drain goroutines and
-// stream wakeups never contend across shards. Session ids carry no
-// shard marker; the hash of the id IS the routing, so a session is
-// sticky to one shard for its whole life (including parked time).
-type Shard interface {
-	// ID is the shard's index in the manager's shard set.
-	ID() int
-
-	// Per-session operations, mirroring the Manager's routed API.
-	Get(ctx context.Context, id string) (Info, error)
-	Next(ctx context.Context, id string) ([]PairView, error)
-	Submit(ctx context.Context, id string, round int, labeled []belief.Labeling) (Info, error)
-	TopBelief(ctx context.Context, id string, k int) ([]HypothesisView, error)
-	Repairs(ctx context.Context, id string, tau float64) ([]RepairView, error)
-	Snapshot(ctx context.Context, id string) (string, error)
-	Evict(ctx context.Context, id string) error
-	Rounds(ctx context.Context, id string) ([]RoundView, error)
-	StreamChunk(ctx context.Context, id string, from int) (StreamChunk, error)
-	EnqueueSubmissions(ctx context.Context, id string, subs []Submission) ([]Ticket, error)
-	Ticket(ctx context.Context, id, ticketID string) (Ticket, error)
-	QueuedSubmissions(id string) int
-
-	// Shard-wide operations the router fans out.
-	List(ctx context.Context) ([]Info, error)
-	Sweep(ctx context.Context) ([]string, error)
-	Counts() (live, parked int)
-	Health() ShardHealth
-}
-
-var _ Shard = (*shard)(nil)
-
 // entry is one resident session. Its mutex serializes the session
 // protocol; lastUsed is guarded by the owning shard's mutex (it is
 // bumped during lookup, which already holds it).
@@ -63,8 +28,8 @@ type entry struct {
 	// wal records per-round deltas for WAL-backed durability; nil when
 	// the store takes no appends. Its take/restore/clear run under mu.
 	wal *walRecorder
-	// walBased marks that a base snapshot for this entry durably landed
-	// in the store, so appended deltas alone restore the session (and a
+	// walBased marks that a snapshot of this entry durably landed in the
+	// store, so appended deltas alone restore the session (and a
 	// successful append may heal the degraded mark); guarded by mu.
 	walBased bool
 	// gone marks the entry evicted or shut down. A goroutine that won
@@ -73,8 +38,14 @@ type entry struct {
 	gone bool
 }
 
-// shard is the concrete Shard: the state and mechanics that used to be
-// the monolithic Manager, scoped to one partition.
+// shard is one serving partition of the session space: the Manager
+// (the front-tier router) resolves a session id by rendezvous hash and
+// delegates to the id's home shard. Each shard owns a disjoint slice of
+// the sessions with its own lock domain: live map, parked set, LRU
+// eviction, degraded bookkeeping, labelpools, drain goroutines and
+// stream wakeups never contend across shards. Session ids carry no
+// shard marker; the hash of the id IS the routing, so a session is
+// sticky to one shard for its whole life (including parked time).
 //
 // Lock order (unchanged from the monolith, now per shard): the shard
 // mutex is only ever held for short map/metadata critical sections and
@@ -173,9 +144,6 @@ func jitterSeed(retrySeed uint64, shardID int) uint64 {
 	return h
 }
 
-// ID implements Shard.
-func (sh *shard) ID() int { return sh.id }
-
 // setDraining flips the shard into drain mode (idempotent).
 func (sh *shard) setDraining() {
 	sh.mu.Lock()
@@ -254,8 +222,28 @@ func (sh *shard) evict(ctx context.Context, e *entry) error {
 	defer e.mu.Unlock()
 	// An unsubmitted round is dropped: it carries no annotator evidence,
 	// and resuming rebuilds the pool from submitted history so its pairs
-	// become presentable again.
+	// become presentable again (with the same draws: the discard rewinds
+	// the learner RNG).
 	e.sess.DiscardPending()
+	if err := sh.checkpointLocked(ctx, e); err != nil {
+		return err
+	}
+	e.gone = true
+	sh.mu.Lock()
+	delete(sh.live, e.id)
+	sh.parked[e.id] = e.spec
+	sh.mu.Unlock()
+	return nil
+}
+
+// checkpointLocked snapshots a locked entry into the store under its
+// own id — the one checkpoint step behind eviction, explicit snapshots,
+// the drain's CheckpointEvery and genesis. A landed snapshot supersedes
+// the WAL deltas still pending and heals the degraded mark; a Put that
+// exhausts the retry policy marks the session degraded, and serving
+// continues from memory. A snapshot that cannot be taken (a round is
+// pending) writes nothing and marks nothing.
+func (sh *shard) checkpointLocked(ctx context.Context, e *entry) error {
 	snap, err := e.sess.Snapshot()
 	if err != nil {
 		return err
@@ -266,13 +254,11 @@ func (sh *shard) evict(ctx context.Context, e *entry) error {
 		sh.setDegraded(e.id, true)
 		return err
 	}
-	e.snapshotLandedLocked()
-	e.gone = true
-	sh.mu.Lock()
-	delete(sh.live, e.id)
-	delete(sh.degraded, e.id)
-	sh.parked[e.id] = e.spec
-	sh.mu.Unlock()
+	if e.wal != nil {
+		e.wal.clear()
+	}
+	e.walBased = true
+	sh.setDegraded(e.id, false)
 	return nil
 }
 
@@ -350,22 +336,14 @@ func (sh *shard) acquireOpt(ctx context.Context, id string, evenWhileDraining bo
 			snap, gerr = sh.store.Get(ctx, id)
 			return gerr
 		})
+		var built *entry
 		if err == nil {
-			var wrec *walRecorder
-			if sh.appender != nil {
-				wrec = &walRecorder{id: id}
-			}
-			var sess *game.Session
-			var rs *roundStats
-			sess, rs, err = buildSession(spec, snap, wrec)
-			if err == nil {
-				e.sess = sess
-				e.stats = rs
-				e.wal = wrec
-				// The snapshot we just resumed from IS the base snapshot.
-				e.walBased = wrec != nil
-				return e, nil
-			}
+			built, err = newEntry(spec, snap, sh.appender != nil, func() (string, error) { return id, nil })
+		}
+		if err == nil {
+			// The snapshot just resumed from IS the entry's base snapshot.
+			e.sess, e.stats, e.wal, e.walBased = built.sess, built.stats, built.wal, true
+			return e, nil
 		}
 		sh.unparkFailed(e)
 		return nil, fmt.Errorf("service: resuming parked session %q: %w", id, err)
@@ -425,8 +403,8 @@ func (sh *shard) infoOf(e *entry, parked bool) Info {
 	return info
 }
 
-// Get implements Shard. A parked session is reported from its parked
-// metadata without resuming it.
+// Get returns a session's state. A parked session is reported from
+// its parked metadata without resuming it.
 func (sh *shard) Get(ctx context.Context, id string) (Info, error) {
 	if err := ctx.Err(); err != nil {
 		return Info{}, err
@@ -445,8 +423,8 @@ func (sh *shard) Get(ctx context.Context, id string) (Info, error) {
 	return sh.infoOf(e, false), nil
 }
 
-// List implements Shard: every session homed here, live and parked,
-// ordered by id.
+// List reports every session homed here, live and parked, ordered by
+// id.
 func (sh *shard) List(ctx context.Context) ([]Info, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -466,7 +444,7 @@ func (sh *shard) List(ctx context.Context) ([]Info, error) {
 	return out, nil
 }
 
-// Next implements Shard: presents the session's next round of pairs.
+// Next presents the session's next round of pairs.
 func (sh *shard) Next(ctx context.Context, id string) ([]PairView, error) {
 	e, err := sh.acquire(ctx, id)
 	if err != nil {
@@ -481,47 +459,85 @@ func (sh *shard) Next(ctx context.Context, id string) ([]PairView, error) {
 	return renderPairs(e.sess.Relation(), pairs), nil
 }
 
-// Submit implements Shard: consumes the pending round's annotations
-// under the Manager's idempotency contract (see Manager.Submit).
+// Submit consumes the pending round's annotations under the Manager's
+// idempotency contract (see Manager.Submit).
 func (sh *shard) Submit(ctx context.Context, id string, round int, labeled []belief.Labeling) (Info, error) {
 	e, err := sh.acquire(ctx, id)
 	if err != nil {
 		return Info{}, err
 	}
 	defer e.mu.Unlock()
-	if round != UncheckedRound {
-		cur := e.sess.Rounds()
-		switch {
-		case round > cur:
+	cur := e.sess.Rounds()
+	if round != UncheckedRound && round != cur {
+		if round > cur {
 			return Info{}, fmt.Errorf("%w: round %d is ahead of the current round %d", ErrRoundMismatch, round, cur)
-		case round < cur:
-			rec := e.sess.Records()[round]
-			if labelsDigest(labeled, nil) == labelsDigest(rec.Labeled, rec.Revisions) {
-				// Identical replay of an applied round: the first attempt's
-				// response was lost; report success again, change nothing.
-				return sh.infoOf(e, false), nil
-			}
-			return Info{}, fmt.Errorf("%w: round %d was already applied with different labels (current round %d)", ErrRoundMismatch, round, cur)
 		}
+		if err := replayedLocked(e, round, labeled); err != nil {
+			return Info{}, err
+		}
+		return sh.infoOf(e, false), nil
 	}
-	if err := e.sess.SubmitContext(ctx, labeled); err != nil {
+	if e.sess.PendingCount() == 0 {
+		return Info{}, fmt.Errorf("%w; call Next first", game.ErrNoRoundPending)
+	}
+	if _, err := sh.applyLocked(ctx, e, []poolItem{{round: cur, labeled: labeled}}); err != nil {
 		return Info{}, err
-	}
-	// WAL-era durability: the submitted round's delta rides a group
-	// commit before the submit acks. Failure degrades the session (the
-	// round lives on in memory and in the recorder's backlog) rather
-	// than failing a submit that already applied.
-	_ = sh.flushWal(ctx, e)
-	sh.notifyStreams(id)
-	// A direct submit can fill the gap a parked labelpool drain stalled
-	// on; give it another chance.
-	if p := sh.peekPool(id); p != nil {
-		sh.kickDrain(p)
 	}
 	return sh.infoOf(e, false), nil
 }
 
-// TopBelief implements Shard.
+// replayedLocked resolves a submission for a round the session already
+// applied: nil when its labels are an identical evidence replay of
+// what the round recorded (the first attempt's response was lost, so
+// success is reported again and nothing changes), ErrRoundMismatch
+// otherwise. Caller holds e.mu.
+func replayedLocked(e *entry, round int, labeled []belief.Labeling) error {
+	rec := e.sess.Records()[round]
+	if labelsDigest(labeled, nil) == labelsDigest(rec.Labeled, rec.Revisions) {
+		return nil
+	}
+	return fmt.Errorf("%w: round %d was already applied with different labels (current round %d)",
+		ErrRoundMismatch, round, e.sess.Rounds())
+}
+
+// applyLocked plays a consecutive run of submissions, starting at the
+// session's current round, on a locked entry — the one apply step of
+// both the interactive Submit and the labelpool drain. It returns how
+// many applied; on error the rest of the run is untouched.
+//
+// Applied rounds are made durable before anything observes them: the
+// whole run rides one WAL group commit, and only once that append
+// returned do the rounds publish — their tickets resolve applied,
+// attached streams wake, and a drain parked on a gap this run may have
+// filled gets another chance. A failed append degrades the session and
+// keeps its deltas for the next flush, as every checkpoint failure
+// does: the rounds live on in memory and still publish.
+func (sh *shard) applyLocked(ctx context.Context, e *entry, run []poolItem) (int, error) {
+	batch := make([][]belief.Labeling, len(run))
+	for i, it := range run {
+		batch[i] = it.labeled
+	}
+	applied, err := e.sess.SubmitBatch(ctx, batch)
+	if applied == 0 {
+		return 0, err
+	}
+	_ = sh.flushWal(ctx, e)
+	p := sh.peekPool(e.id)
+	if p != nil {
+		p.mu.Lock()
+		for _, it := range run[:applied] {
+			p.resolveLocked(it.ticketID, TicketApplied, nil)
+		}
+		p.mu.Unlock()
+	}
+	sh.notifyStreams(e.id)
+	if p != nil {
+		sh.kickDrain(p)
+	}
+	return applied, err
+}
+
+// TopBelief returns the session's k leading hypotheses.
 func (sh *shard) TopBelief(ctx context.Context, id string, k int) ([]HypothesisView, error) {
 	e, err := sh.acquire(ctx, id)
 	if err != nil {
@@ -546,7 +562,7 @@ func (sh *shard) TopBelief(ctx context.Context, id string, k int) ([]HypothesisV
 	return out, nil
 }
 
-// Repairs implements Shard.
+// Repairs derives cell repairs from the session's believed FDs.
 func (sh *shard) Repairs(ctx context.Context, id string, tau float64) ([]RepairView, error) {
 	e, err := sh.acquire(ctx, id)
 	if err != nil {
@@ -585,33 +601,22 @@ func (sh *shard) Repairs(ctx context.Context, id string, tau float64) ([]RepairV
 	return out, nil
 }
 
-// Snapshot implements Shard: checkpoints the session into the store
-// under its own id and returns that id. The session stays live.
+// Snapshot checkpoints the session into the store under its own id
+// and returns that id. The session stays live; a checkpoint that lands
+// heals a degraded session, as its state is durable again.
 func (sh *shard) Snapshot(ctx context.Context, id string) (string, error) {
 	e, err := sh.acquire(ctx, id)
 	if err != nil {
 		return "", err
 	}
 	defer e.mu.Unlock()
-	snap, err := e.sess.Snapshot()
-	if err != nil {
+	if err := sh.checkpointLocked(ctx, e); err != nil {
 		return "", err
 	}
-	if err := sh.storeRetry(ctx, "checkpointing "+e.id, func(ctx context.Context) error {
-		return sh.store.Put(ctx, e.id, snap)
-	}); err != nil {
-		sh.setDegraded(e.id, true)
-		return "", err
-	}
-	// A successful explicit checkpoint heals a degraded session: its
-	// state is durable again.
-	e.snapshotLandedLocked()
-	sh.setDegraded(e.id, false)
 	return e.id, nil
 }
 
-// Evict implements Shard: checkpoints the session and parks it,
-// freeing its memory. The next access transparently resumes it.
+// Evict checkpoints the session and parks it, freeing its memory. The next access transparently resumes it.
 func (sh *shard) Evict(ctx context.Context, id string) error {
 	e, err := sh.acquire(ctx, id)
 	if err != nil {
@@ -620,7 +625,7 @@ func (sh *shard) Evict(ctx context.Context, id string) error {
 	return sh.evict(ctx, e) // releases the lock
 }
 
-// Rounds implements Shard: the session's per-round measurement series.
+// Rounds returns the session's per-round measurement series.
 func (sh *shard) Rounds(ctx context.Context, id string) ([]RoundView, error) {
 	e, err := sh.acquire(ctx, id)
 	if err != nil {
@@ -630,12 +635,12 @@ func (sh *shard) Rounds(ctx context.Context, id string) ([]RoundView, error) {
 	return append([]RoundView(nil), e.stats.rounds...), nil
 }
 
-// Sweep implements Shard: parks every session idle for at least the
-// IdleTTL and returns the parked ids. A failed eviction leaves that
-// session live and degraded but does not stop the sweep — the
-// remaining idle sessions still get their chance to park, and a later
-// sweep retries the degraded ones (their recovery path once the store
-// heals). All failures are joined into the returned error.
+// Sweep parks every session idle for at least the IdleTTL and returns
+// the parked ids. A failed eviction leaves that session live and
+// degraded but does not stop the sweep — the remaining idle sessions
+// still get their chance to park, and a later sweep retries the
+// degraded ones (their recovery path once the store heals). All
+// failures are joined into the returned error.
 func (sh *shard) Sweep(ctx context.Context) ([]string, error) {
 	sh.mu.Lock()
 	cutoff := sh.now().Add(-sh.opts.IdleTTL)
@@ -677,7 +682,7 @@ func (sh *shard) Sweep(ctx context.Context) ([]string, error) {
 	return swept, errors.Join(errs...)
 }
 
-// Counts implements Shard.
+// Counts reports how many of the shard's sessions are live and parked.
 func (sh *shard) Counts() (live, parked int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -40,7 +40,7 @@ type StreamChunk struct {
 	Remaining int
 }
 
-// StreamChunk implements Shard: the session's stream state from a
+// StreamChunk reads the session's stream state from a
 // round cursor.
 func (sh *shard) StreamChunk(ctx context.Context, id string, from int) (StreamChunk, error) {
 	e, err := sh.acquire(ctx, id)

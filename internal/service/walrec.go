@@ -151,43 +151,3 @@ func (sh *shard) flushWal(ctx context.Context, e *entry) error {
 	}
 	return nil
 }
-
-// genesis writes the session's base snapshot right after creation, so
-// subsequent WAL appends have a snapshot to replay onto. Failure marks
-// the session degraded (its rounds will pile up in the recorder until
-// a snapshot lands) but does not fail the creation — the same contract
-// as every other checkpoint path.
-func (sh *shard) genesis(ctx context.Context, e *entry) {
-	if e.wal == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gone {
-		return
-	}
-	snap, err := e.sess.Snapshot()
-	if err != nil {
-		return // a round is already pending; a later checkpoint catches up
-	}
-	if err := sh.storeRetry(ctx, "genesis checkpoint "+e.id, func(ctx context.Context) error {
-		return sh.store.Put(ctx, e.id, snap)
-	}); err != nil {
-		sh.setDegraded(e.id, true)
-		return
-	}
-	e.walBased = true
-	e.wal.clear() // the snapshot covers every recorded round
-	sh.setDegraded(e.id, false)
-}
-
-// snapshotLandedLocked records that a full snapshot for the entry
-// durably landed: pending deltas are superseded and appends may heal
-// the degraded mark from here on. Caller holds e.mu.
-func (e *entry) snapshotLandedLocked() {
-	if e.wal == nil {
-		return
-	}
-	e.wal.clear()
-	e.walBased = true
-}
