@@ -14,7 +14,7 @@ FUZZERS := ./internal/sampling:FuzzParseMethod \
            ./internal/service:FuzzServerJSON \
            ./internal/fd:FuzzPLIDelta
 
-.PHONY: all build vet lint lintbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench clean
+.PHONY: all build vet fmt lint lintbench test race check verify bench benchbaseline benchcheck fuzz chaos loadsmoke walbench clean
 
 all: build
 
@@ -23,6 +23,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt would rewrite any file outside a
+# testdata/ directory. Lint fixtures under testdata/ keep their layout,
+# because their `// want` expectations are tied to it.
+fmt:
+	@out=$$(gofmt -l . | grep -Ev '(^|/)testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Project-specific determinism & concurrency rules (internal/lint):
 # per-function — detrand, detclock, maporder, lockedfield, printclean,
@@ -55,13 +62,13 @@ check:
 		echo "== check skipped (neither govulncheck nor staticcheck installed)"; \
 	fi
 
-# Tier-1 verification: build, vet, the project lint rules, the full
-# test suite, then the suite again under the race detector (the
-# experiment harness, game evaluator and session service all run
-# goroutines, so -race is part of the bar), the fault-injection chaos
-# suite, whatever static analyzer the machine has, and the ~5s
+# Tier-1 verification: build, vet, the gofmt gate, the project lint
+# rules, the full test suite, then the suite again under the race
+# detector (the experiment harness, game evaluator and session service
+# all run goroutines, so -race is part of the bar), the fault-injection
+# chaos suite, whatever static analyzer the machine has, and the ~5s
 # labelpool load smoke.
-verify: build vet lint test race chaos check loadsmoke
+verify: build vet fmt lint test race chaos check loadsmoke
 
 # Labelpool + shard load smokes (~30s): etload plays the
 # request-per-round baseline and the batched labelpool pipeline against

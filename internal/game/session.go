@@ -348,6 +348,16 @@ func (s *Session) Snapshot() (*persist.Snapshot, error) {
 	if s.pending != nil {
 		return nil, fmt.Errorf("cannot snapshot: %w", ErrRoundPending)
 	}
+	return s.SnapshotSubmitted()
+}
+
+// SnapshotSubmitted is Snapshot of the submitted rounds only: a
+// pending round is left out and the learner RNG is captured from
+// before its presentation — the snapshot DiscardPending followed by
+// Snapshot would take, without discarding anything. A checkpoint that
+// then fails to land costs the session nothing: its round stays
+// presented.
+func (s *Session) SnapshotSubmitted() (*persist.Snapshot, error) {
 	rounds := make([]persist.Round, len(s.eng.records))
 	for i, rec := range s.eng.records {
 		rounds[i] = persist.Round{
@@ -370,6 +380,9 @@ func (s *Session) Snapshot() (*persist.Snapshot, error) {
 	// pairs the live session would have — park/unpark churn cannot
 	// perturb a trajectory.
 	rng := s.eng.learner.RNGState()
+	if s.pending != nil {
+		rng = s.drawn
+	}
 	snap.LearnerRNG = append([]uint64(nil), rng[:]...)
 	return snap, nil
 }

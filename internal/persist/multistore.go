@@ -141,11 +141,6 @@ func (s *MultiStore) Put(ctx context.Context, id string, snap *Snapshot) error {
 		return err
 	}
 	n := len(s.replicas)
-	type result struct {
-		i   int
-		err error
-	}
-	results := make(chan result, n)
 	cur := &putWrites{done: make([]chan struct{}, n), left: n}
 	for i := range cur.done {
 		cur.done[i] = make(chan struct{})
@@ -154,29 +149,45 @@ func (s *MultiStore) Put(ctx context.Context, id string, snap *Snapshot) error {
 	prev := s.writes[id]
 	s.writes[id] = cur
 	s.mu.Unlock()
+	return s.quorum(fmt.Sprintf("put %q", id), func(i int) error {
+		defer s.wrote(id, cur, i)
+		if prev != nil {
+			select {
+			case <-prev.done[i]:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		return s.replicas[i].Put(ctx, id, snap)
+	})
+}
+
+// quorum runs write against every replica concurrently and returns
+// once W replicas acked (nil) or more than N-W failed (the joined
+// failures). Every outcome is noted in the replica's stats; writes
+// still running at return finish in the background, and Flush waits
+// them out. The one ack loop behind Put and AppendRounds.
+func (s *MultiStore) quorum(what string, write func(i int) error) error {
+	n := len(s.replicas)
+	type result struct {
+		i   int
+		err error
+	}
+	results := make(chan result, n)
 	s.wg.Add(n)
-	for i, r := range s.replicas {
-		go func(i int, r Store) {
+	for i := range s.replicas {
+		go func(i int) {
 			defer s.wg.Done()
-			var err error
-			if prev != nil {
-				select {
-				case <-prev.done[i]:
-				case <-ctx.Done():
-					err = ctx.Err()
-				}
-			}
-			if err == nil {
-				err = r.Put(ctx, id, snap)
-			}
+			err := write(i)
 			s.note(i, err, false)
-			s.wrote(id, cur, i)
 			results <- result{i, err}
-		}(i, r)
+		}(i)
 	}
 	acks, fails := 0, 0
 	var errs []error
-	for seen := 0; seen < n; seen++ {
+	for {
+		// Each result moves acks or fails, so one of the two returns
+		// fires by the last one.
 		res := <-results
 		if res.err == nil {
 			acks++
@@ -188,13 +199,10 @@ func (s *MultiStore) Put(ctx context.Context, id string, snap *Snapshot) error {
 			return nil // quorum reached; stragglers finish in background
 		}
 		if fails > n-s.w {
-			return fmt.Errorf("persist: put %q acked by %d of %d replicas (need %d): %w",
-				id, acks, n, s.w, errors.Join(errs...))
+			return fmt.Errorf("persist: %s acked by %d of %d replicas (need %d): %w",
+				what, acks, n, s.w, errors.Join(errs...))
 		}
 	}
-	// Unreachable: one of the two branches above fires by the last result.
-	return fmt.Errorf("persist: put %q acked by %d of %d replicas (need %d): %w",
-		id, acks, n, s.w, errors.Join(errs...))
 }
 
 // wrote marks one replica write of a Put finished, releasing the next

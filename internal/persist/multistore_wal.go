@@ -43,48 +43,13 @@ func (s *MultiStore) AppendRounds(ctx context.Context, deltas []*RoundDelta) err
 			return err
 		}
 	}
-	n := len(s.replicas)
-	type result struct {
-		i   int
-		err error
-	}
-	results := make(chan result, n)
-	s.wg.Add(n)
-	for i, r := range s.replicas {
-		app := AppenderOf(r)
-		go func(i int, app RoundAppender) {
-			defer s.wg.Done()
-			var err error
-			if app == nil {
-				err = errors.New("replica lacks a round appender")
-			} else {
-				err = app.AppendRounds(ctx, deltas)
-			}
-			s.note(i, err, false)
-			results <- result{i, err}
-		}(i, app)
-	}
-	acks, fails := 0, 0
-	var errs []error
-	for seen := 0; seen < n; seen++ {
-		res := <-results
-		if res.err == nil {
-			acks++
-		} else {
-			fails++
-			errs = append(errs, fmt.Errorf("replica %d: %w", res.i, res.err))
+	return s.quorum(fmt.Sprintf("append of %d round(s)", len(deltas)), func(i int) error {
+		app := AppenderOf(s.replicas[i])
+		if app == nil {
+			return errors.New("replica lacks a round appender")
 		}
-		if acks >= s.w {
-			return nil // quorum fsynced; stragglers finish in background
-		}
-		if fails > n-s.w {
-			return fmt.Errorf("persist: append of %d round(s) acked by %d of %d replicas (need %d): %w",
-				len(deltas), acks, n, s.w, errors.Join(errs...))
-		}
-	}
-	// Unreachable: one of the two branches above fires by the last result.
-	return fmt.Errorf("persist: append of %d round(s) acked by %d of %d replicas (need %d): %w",
-		len(deltas), acks, n, s.w, errors.Join(errs...))
+		return app.AppendRounds(ctx, deltas)
+	})
 }
 
 // WalStats implements WalStatter across the replica set: counts sum,

@@ -41,7 +41,7 @@ func testSnap(t *testing.T, rounds int) *persist.Snapshot {
 	learner := belief.New(space, stats.NewBeta(1, 1))
 	history := make([][]belief.Labeling, rounds)
 	for i := range history {
-		history[i] = []belief.Labeling{{Pair: dataset.NewPair(0, i + 1), Marked: fd.NewAttrSet(1)}}
+		history[i] = []belief.Labeling{{Pair: dataset.NewPair(0, i+1), Marked: fd.NewAttrSet(1)}}
 	}
 	snap, err := persist.NewSnapshot(schema, space, trainer, learner, history)
 	if err != nil {

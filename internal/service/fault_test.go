@@ -4,13 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
+	"exptrain/internal/belief"
+	"exptrain/internal/dataset"
 	"exptrain/internal/persist"
 	"exptrain/internal/persist/faulty"
+	"exptrain/internal/persist/wal"
 	"exptrain/internal/sampling"
 )
 
@@ -304,4 +308,94 @@ func errKind(t *testing.T, raw []byte) string {
 		t.Fatalf("decoding error body %q: %v", raw, err)
 	}
 	return eb.Kind
+}
+
+// TestFaultEvictFailureKeepsPendingRound: an eviction whose checkpoint
+// exhausts the retry policy must leave the session exactly as it was,
+// presented round included. The annotator's submit of that round then
+// lands, and the trajectory matches a session that was never evicted.
+func TestFaultEvictFailureKeepsPendingRound(t *testing.T) {
+	ctx := context.Background()
+	fs := faulty.Wrap(persist.NewMemStore(), faulty.Config{Seed: 7, Ops: []faulty.Op{faulty.OpPut}})
+	m := NewManager(Options{Store: fs, Retry: RetryPolicy{MaxAttempts: 1}})
+	ref, err := m.Create(ctx, datasetSpec(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := m.Create(ctx, datasetSpec(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Next(ctx, ref.ID); err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := m.Next(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fs.SetFailRate(1)
+	if err := m.Evict(ctx, info.ID); !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("Evict with dead store = %v, want ErrStoreUnavailable", err)
+	}
+	fs.ClearFaults()
+
+	labeled := make([]belief.Labeling, len(pairs))
+	for i, p := range pairs {
+		labeled[i] = belief.Labeling{Pair: dataset.NewPair(p.A, p.B)}
+	}
+	for _, id := range []string{ref.ID, info.ID} {
+		if _, err := m.Submit(ctx, id, 0, labeled); err != nil {
+			t.Fatalf("Submit(%s, round 0) after a failed eviction: %v", id, err)
+		}
+	}
+	want, got := roundsFingerprint(t, m, ref.ID), roundsFingerprint(t, m, info.ID)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("trajectory after a failed eviction diverged:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestFaultHealthDuringUnpark: health reporting reads every live
+// entry's WAL backlog while unparks publish resumed sessions into their
+// placeholder entries. Run under -race, the two must not conflict.
+func TestFaultHealthDuringUnpark(t *testing.T) {
+	ctx := context.Background()
+	ws, _, err := wal.OpenStore(persist.NewMemStore(), t.TempDir(), wal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	m := NewManager(Options{Store: ws, MaxSessions: 1})
+	var ids []string
+	for seed := uint64(3); seed < 5; seed++ {
+		info, err := m.Create(ctx, datasetSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, info.ID)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = m.Health()
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		// Each visit unparks one session and parks the other.
+		if _, err := m.TopBelief(ctx, ids[i%2], 1); err != nil {
+			t.Errorf("visit %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

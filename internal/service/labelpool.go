@@ -156,14 +156,14 @@ func (sh *shard) poolFor(id string) *labelPool {
 // the idempotency contract: an identical evidence replay of what that
 // round recorded resolves applied, anything else fails its ticket
 // with a round-mismatch reason.
-func (sh *shard) EnqueueSubmissions(ctx context.Context, id string, subs []Submission) ([]Ticket, error) {
+func (m *Manager) EnqueueSubmissions(ctx context.Context, id string, subs []Submission) ([]Ticket, error) {
 	if len(subs) == 0 {
 		return nil, badRequest(errors.New("empty submission batch"))
 	}
 	// One entry acquisition up front: it proves the session exists,
 	// unparks it if needed, and reads the relation bounds the labels are
 	// validated against. Released before the pool lock.
-	e, err := sh.acquire(ctx, id)
+	sh, e, err := m.lock(ctx, id)
 	if err != nil {
 		return nil, err
 	}
@@ -179,6 +179,14 @@ func (sh *shard) EnqueueSubmissions(ctx context.Context, id string, subs []Submi
 
 	p := sh.poolFor(id)
 	p.mu.Lock()
+	// Check draining under the pool lock: Shutdown sets the shard's flag
+	// and then flushes its pools, and the flush must take this lock too.
+	// So either the flush runs after this batch is queued and applies
+	// it, or this check sees the flag and nothing is queued.
+	if sh.isDraining() {
+		p.mu.Unlock()
+		return nil, ErrShuttingDown
+	}
 	queued := make(map[int]bool, len(p.queue)+len(subs))
 	for _, it := range p.queue {
 		queued[it.round] = true
@@ -190,10 +198,10 @@ func (sh *shard) EnqueueSubmissions(ctx context.Context, id string, subs []Submi
 		}
 		queued[s.Round] = true
 	}
-	if len(p.queue)+len(subs) > sh.opts.MaxQueuedSubmissions {
+	if len(p.queue)+len(subs) > m.opts.MaxQueuedSubmissions {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d queued, batch of %d exceeds the bound of %d",
-			ErrSubmissionBacklog, len(p.queue), len(subs), sh.opts.MaxQueuedSubmissions)
+			ErrSubmissionBacklog, len(p.queue), len(subs), m.opts.MaxQueuedSubmissions)
 	}
 	out := make([]Ticket, len(subs))
 	for i, s := range subs {
@@ -202,41 +210,6 @@ func (sh *shard) EnqueueSubmissions(ctx context.Context, id string, subs []Submi
 		out[i] = *t
 	}
 	sort.Slice(p.queue, func(i, j int) bool { return p.queue[i].round < p.queue[j].round })
-	// Re-check draining while still holding the pool lock: Shutdown sets
-	// the shard's flag and then flushes its pools, so an enqueue that won its
-	// acquire just before the flag flipped could otherwise slip items in
-	// after the flush already drained this pool. Observing the flag here
-	// (under p.mu, which the flush must also take) makes the two cases
-	// exhaustive: either the flush sees our items, or we see the flag
-	// and roll back.
-	sh.mu.Lock()
-	draining := sh.draining
-	sh.mu.Unlock()
-	if draining {
-		for _, t := range out {
-			delete(p.tickets, t.ID)
-		}
-		issued := make(map[string]bool, len(out))
-		for _, t := range out {
-			issued[t.ID] = true
-		}
-		keepQ := p.queue[:0]
-		for _, it := range p.queue {
-			if !issued[it.ticketID] {
-				keepQ = append(keepQ, it)
-			}
-		}
-		p.queue = keepQ
-		keepO := p.order[:0]
-		for _, tid := range p.order {
-			if !issued[tid] {
-				keepO = append(keepO, tid)
-			}
-		}
-		p.order = keepO
-		p.mu.Unlock()
-		return nil, ErrShuttingDown
-	}
 	p.mu.Unlock()
 
 	sh.kickDrain(p)
@@ -271,43 +244,11 @@ func validateLabels(labeled []belief.Labeling, rows, arity int) error {
 	return nil
 }
 
-// Ticket reports the state of one queued submission.
-func (sh *shard) Ticket(ctx context.Context, id, ticketID string) (Ticket, error) {
-	if err := ctx.Err(); err != nil {
-		return Ticket{}, err
-	}
-	sh.poolMu.Lock()
-	p, ok := sh.pools[id]
-	sh.poolMu.Unlock()
-	if !ok {
-		return Ticket{}, fmt.Errorf("%w: session %q has no submission queue", ErrTicketNotFound, id)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t, ok := p.tickets[ticketID]
-	if !ok {
-		return Ticket{}, fmt.Errorf("%w: %q", ErrTicketNotFound, ticketID)
-	}
-	return *t, nil
-}
-
 // peekPool returns the session's labelpool without creating one.
 func (sh *shard) peekPool(id string) *labelPool {
 	sh.poolMu.Lock()
 	defer sh.poolMu.Unlock()
 	return sh.pools[id]
-}
-
-// QueuedSubmissions reports how many submissions are waiting in the
-// session's labelpool (0 if it has none).
-func (sh *shard) QueuedSubmissions(id string) int {
-	p := sh.peekPool(id)
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
 }
 
 // kickDrain starts the pool's drain goroutine unless one is already
@@ -355,7 +296,7 @@ func (sh *shard) drainAcquire(ctx context.Context, id string) (*entry, error) {
 	var err error
 	for attempt := 0; attempt < 400; attempt++ {
 		var e *entry
-		e, err = sh.acquireOpt(ctx, id, true)
+		e, err = sh.acquire(ctx, id, true)
 		if err == nil {
 			return e, nil
 		}
@@ -442,7 +383,7 @@ func (sh *shard) drainOnce(p *labelPool) bool {
 	}
 	p.mu.Unlock()
 
-	if ckpt {
+	if ckpt && e.sess.PendingCount() == 0 {
 		// With a WAL-backed store this snapshot is the compaction point —
 		// the fold that lets the log drop committed segments. Without a
 		// WAL it is the amortized checkpoint: one snapshot per
@@ -469,20 +410,32 @@ func (sh *shard) flushPools() {
 	}
 }
 
-// EnqueueSubmissions admits a batch of round submissions into the
-// session's labelpool on its home shard; see the shard method above
-// for the admission contract.
-func (m *Manager) EnqueueSubmissions(ctx context.Context, id string, subs []Submission) ([]Ticket, error) {
-	return m.shardFor(id).EnqueueSubmissions(ctx, id, subs)
-}
-
 // Ticket reports the state of one queued submission.
 func (m *Manager) Ticket(ctx context.Context, id, ticketID string) (Ticket, error) {
-	return m.shardFor(id).Ticket(ctx, id, ticketID)
+	if err := ctx.Err(); err != nil {
+		return Ticket{}, err
+	}
+	p := m.shardFor(id).peekPool(id)
+	if p == nil {
+		return Ticket{}, fmt.Errorf("%w: session %q has no submission queue", ErrTicketNotFound, id)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t, ok := p.tickets[ticketID]
+	if !ok {
+		return Ticket{}, fmt.Errorf("%w: %q", ErrTicketNotFound, ticketID)
+	}
+	return *t, nil
 }
 
 // QueuedSubmissions reports how many submissions are waiting in the
 // session's labelpool (0 if it has none).
 func (m *Manager) QueuedSubmissions(id string) int {
-	return m.shardFor(id).QueuedSubmissions(id)
+	p := m.shardFor(id).peekPool(id)
+	if p == nil {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queue)
 }

@@ -16,6 +16,7 @@ import (
 	"exptrain/internal/fd"
 	"exptrain/internal/game"
 	"exptrain/internal/persist"
+	"exptrain/internal/repair"
 	"exptrain/internal/sampling"
 	"exptrain/internal/stats"
 )
@@ -214,12 +215,12 @@ func (o Options) withDefaults() Options {
 }
 
 // Manager is the front tier of the session service: it mints session
-// ids, routes every request to the session's home shard by rendezvous
-// hash (see route.go), and fans shard-wide operations (List, Sweep,
-// Health, Shutdown) out across the shard set. All methods are safe for
-// concurrent use. All per-session state and locking lives in the
-// shards — the only mutable state here is the id sequence and the
-// draining flag.
+// ids, runs every per-session operation against the session's home
+// shard, picked by rendezvous hash (see route.go), and fans shard-wide
+// operations (List, Sweep, Health, Shutdown) out across the shard set.
+// All methods are safe for concurrent use. All per-session state and
+// locking lives in the shards — the only mutable state here is the id
+// sequence and the draining flag.
 type Manager struct {
 	opts   Options
 	store  persist.Store
@@ -429,11 +430,8 @@ func (m *Manager) open(ctx context.Context, spec Spec, snap *persist.Snapshot) (
 	if err := sh.install(ctx, e); err != nil {
 		return Info{}, err
 	}
-	// Installed, the entry is visible: a capacity eviction may already
-	// have parked it, so it is read only under its lock.
-	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.wal != nil && !e.gone {
+	if e.wal != nil {
 		// WAL-backed sessions checkpoint a genesis snapshot immediately,
 		// so every later round needs only an O(space) append, never a
 		// snapshot. A resumed session needs one too: the snapshot it was
@@ -443,13 +441,33 @@ func (m *Manager) open(ctx context.Context, spec Spec, snap *persist.Snapshot) (
 		// lands.
 		_ = sh.checkpointLocked(ctx, e)
 	}
-	return sh.infoOf(e, e.gone), nil
+	return sh.infoOf(e), nil
+}
+
+// lock resolves id to its home shard and returns that shard with the
+// session's entry locked, transparently unparking an evicted session.
+// The caller must unlock e.mu. Every per-session operation starts here.
+func (m *Manager) lock(ctx context.Context, id string) (sh *shard, e *entry, err error) {
+	sh = m.shardFor(id)
+	e, err = sh.acquire(ctx, id, false)
+	return sh, e, err
 }
 
 // Get returns a session's state. A parked session is reported from its
 // parked metadata without resuming it.
 func (m *Manager) Get(ctx context.Context, id string) (Info, error) {
-	return m.shardFor(id).Get(ctx, id)
+	if err := ctx.Err(); err != nil {
+		return Info{}, err
+	}
+	if info, ok := m.shardFor(id).parkedInfo(id); ok {
+		return info, nil
+	}
+	sh, e, err := m.lock(ctx, id)
+	if err != nil {
+		return Info{}, err
+	}
+	defer e.mu.Unlock()
+	return sh.infoOf(e), nil
 }
 
 // List reports every session across all shards, live and parked,
@@ -483,7 +501,17 @@ func renderPairs(rel *dataset.Relation, pairs []dataset.Pair) []PairView {
 
 // Next presents the session's next round of pairs.
 func (m *Manager) Next(ctx context.Context, id string) ([]PairView, error) {
-	return m.shardFor(id).Next(ctx, id)
+	sh, e, err := m.lock(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	defer e.mu.Unlock()
+	pairs, err := e.sess.NextContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	sh.notifyStreams(id)
+	return renderPairs(e.sess.Relation(), pairs), nil
 }
 
 // UncheckedRound disables Submit's round-index idempotency check — the
@@ -544,38 +572,135 @@ func labelsDigest(a, b []belief.Labeling) uint64 {
 // evidence replay of that round, and fails with ErrRoundMismatch
 // otherwise — the contract that makes a retrying client safe.
 func (m *Manager) Submit(ctx context.Context, id string, round int, labeled []belief.Labeling) (Info, error) {
-	return m.shardFor(id).Submit(ctx, id, round, labeled)
+	sh, e, err := m.lock(ctx, id)
+	if err != nil {
+		return Info{}, err
+	}
+	defer e.mu.Unlock()
+	cur := e.sess.Rounds()
+	if round != UncheckedRound && round != cur {
+		if round > cur {
+			return Info{}, fmt.Errorf("%w: round %d is ahead of the current round %d", ErrRoundMismatch, round, cur)
+		}
+		if err := replayedLocked(e, round, labeled); err != nil {
+			return Info{}, err
+		}
+		return sh.infoOf(e), nil
+	}
+	if e.sess.PendingCount() == 0 {
+		return Info{}, fmt.Errorf("%w; call Next first", game.ErrNoRoundPending)
+	}
+	if _, err := sh.applyLocked(ctx, e, []poolItem{{round: cur, labeled: labeled}}); err != nil {
+		return Info{}, err
+	}
+	return sh.infoOf(e), nil
 }
 
 // TopBelief returns the learner's k leading hypotheses with 90%
 // credible intervals.
 func (m *Manager) TopBelief(ctx context.Context, id string, k int) ([]HypothesisView, error) {
-	return m.shardFor(id).TopBelief(ctx, id, k)
+	_, e, err := m.lock(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	defer e.mu.Unlock()
+	if k <= 0 {
+		k = 10
+	}
+	b := e.sess.Belief()
+	names := e.sess.Relation().Schema().Names()
+	var out []HypothesisView
+	for _, i := range b.TopK(k) {
+		lo, hi := b.CredibleInterval(i, 0.9)
+		out = append(out, HypothesisView{
+			FD:         b.Space().FD(i).Render(names),
+			Confidence: b.Confidence(i),
+			CILow:      lo,
+			CIHigh:     hi,
+		})
+	}
+	return out, nil
 }
 
 // Repairs derives minority-to-plurality cell repairs from the FDs the
 // learner currently believes at confidence at least tau (default 0.5).
 func (m *Manager) Repairs(ctx context.Context, id string, tau float64) ([]RepairView, error) {
-	return m.shardFor(id).Repairs(ctx, id, tau)
+	_, e, err := m.lock(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	defer e.mu.Unlock()
+	if tau <= 0 {
+		tau = 0.5
+	}
+	b := e.sess.Belief()
+	var believed []repair.BelievedFD
+	for _, f := range b.BelievedFDs(tau) {
+		i, ok := b.Space().Index(f)
+		if !ok {
+			continue
+		}
+		believed = append(believed, repair.BelievedFD{FD: f, Confidence: b.Confidence(i)})
+	}
+	rel := e.sess.Relation()
+	suggestions, err := repair.Suggest(rel, believed, repair.Config{})
+	if err != nil {
+		return nil, err
+	}
+	names := rel.Schema().Names()
+	out := make([]RepairView, len(suggestions))
+	for i, s := range suggestions {
+		out[i] = RepairView{
+			Row:        s.Row,
+			Attr:       names[s.Attr],
+			Old:        s.Old,
+			New:        s.New,
+			Confidence: s.Confidence,
+			Source:     s.Source.Render(names),
+		}
+	}
+	return out, nil
 }
 
 // Snapshot checkpoints the session into the store under its own id and
-// returns that id. The session stays live.
+// returns that id. The session stays live; a checkpoint that lands
+// heals a degraded session, as its state is durable again. A session
+// with a presented round cannot be snapshotted until it is submitted.
 func (m *Manager) Snapshot(ctx context.Context, id string) (string, error) {
-	return m.shardFor(id).Snapshot(ctx, id)
+	sh, e, err := m.lock(ctx, id)
+	if err != nil {
+		return "", err
+	}
+	defer e.mu.Unlock()
+	if e.sess.PendingCount() > 0 {
+		return "", fmt.Errorf("cannot snapshot: %w", game.ErrRoundPending)
+	}
+	if err := sh.checkpointLocked(ctx, e); err != nil {
+		return "", err
+	}
+	return e.id, nil
 }
 
 // Evict checkpoints the session and parks it, freeing its memory. The
 // next access transparently resumes it from the store.
 func (m *Manager) Evict(ctx context.Context, id string) error {
-	return m.shardFor(id).Evict(ctx, id)
+	sh, e, err := m.lock(ctx, id)
+	if err != nil {
+		return err
+	}
+	return sh.evict(ctx, e) // releases the lock
 }
 
 // Rounds returns the session's per-round measurement series, one entry
 // per submitted round in order. Sessions created with eval include the
 // held-out detection score per round.
 func (m *Manager) Rounds(ctx context.Context, id string) ([]RoundView, error) {
-	return m.shardFor(id).Rounds(ctx, id)
+	_, e, err := m.lock(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	defer e.mu.Unlock()
+	return append([]RoundView(nil), e.stats.rounds...), nil
 }
 
 // Sweep parks every session idle for at least the manager's IdleTTL,
@@ -587,31 +712,34 @@ func (m *Manager) Rounds(ctx context.Context, id string) ([]RoundView, error) {
 // eviction leaves that session live and degraded but does not stop its
 // shard's sweep; all failures are joined into the returned error.
 func (m *Manager) Sweep(ctx context.Context) ([]string, error) {
-	type result struct {
-		swept []string
-		err   error
+	perShard := make([][]string, len(m.shards))
+	err := m.eachShard(func(sh *shard) error {
+		var err error
+		perShard[sh.id], err = sh.Sweep(ctx)
+		return err
+	})
+	var swept []string
+	for _, ids := range perShard {
+		swept = append(swept, ids...)
 	}
-	results := make([]result, len(m.shards))
+	sort.Strings(swept)
+	return swept, err
+}
+
+// eachShard runs fn on every shard concurrently, one goroutine per
+// shard, and joins their errors once all have returned.
+func (m *Manager) eachShard(fn func(sh *shard) error) error {
+	errs := make([]error, len(m.shards))
 	var wg sync.WaitGroup
 	for i, sh := range m.shards {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			swept, err := sh.Sweep(ctx)
-			results[i] = result{swept, err}
+			errs[i] = fn(sh)
 		}(i, sh)
 	}
 	wg.Wait()
-	var swept []string
-	var errs []error
-	for _, r := range results {
-		swept = append(swept, r.swept...)
-		if r.err != nil {
-			errs = append(errs, r.err)
-		}
-	}
-	sort.Strings(swept)
-	return swept, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // Counts reports how many sessions are live and parked across all
@@ -649,15 +777,5 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	if first {
 		close(m.drainSignal) // wake attached streams so they close promptly
 	}
-	errs := make([]error, len(m.shards))
-	var wg sync.WaitGroup
-	for i, sh := range m.shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			errs[i] = sh.shutdown(ctx)
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return m.eachShard(func(sh *shard) error { return sh.shutdown(ctx) })
 }

@@ -11,7 +11,6 @@ import (
 	"exptrain/internal/belief"
 	"exptrain/internal/game"
 	"exptrain/internal/persist"
-	"exptrain/internal/repair"
 	"exptrain/internal/stats"
 )
 
@@ -40,7 +39,10 @@ type entry struct {
 
 // shard is one serving partition of the session space: the Manager
 // (the front-tier router) resolves a session id by rendezvous hash and
-// delegates to the id's home shard. Each shard owns a disjoint slice of
+// runs each per-session operation against the id's home shard. The
+// router owns the operations; the shard owns state, locking and
+// lifecycle (install, unpark, evict, checkpoint, sweep, shutdown).
+// Each shard owns a disjoint slice of
 // the sessions with its own lock domain: live map, parked set, LRU
 // eviction, degraded bookkeeping, labelpools, drain goroutines and
 // stream wakeups never contend across shards. Session ids carry no
@@ -151,21 +153,52 @@ func (sh *shard) setDraining() {
 	sh.mu.Unlock()
 }
 
-// install registers a built entry, making room first if needed.
+// isDraining reports whether the shard is in drain mode.
+func (sh *shard) isDraining() bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.draining
+}
+
+// install publishes a freshly built entry on the shard and makes room
+// for it. The entry is locked before it becomes visible, so no request
+// or eviction can touch it before the caller is done with it: on
+// success the caller holds e.mu and must unlock it; on failure the
+// entry is withdrawn again.
 func (sh *shard) install(ctx context.Context, e *entry) error {
+	e.mu.Lock()
+	sh.mu.Lock()
+	if sh.draining {
+		sh.mu.Unlock()
+		e.mu.Unlock()
+		return ErrShuttingDown
+	}
+	e.lastUsed = sh.now()
+	sh.live[e.id] = e
+	sh.mu.Unlock()
+	if err := sh.makeRoom(ctx); err != nil {
+		e.gone = true
+		sh.mu.Lock()
+		delete(sh.live, e.id)
+		sh.mu.Unlock()
+		e.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// makeRoom evicts the least-recently-used idle entries until the shard
+// is within capacity — the one capacity loop behind Create and
+// unparking, both of which publish their entry locked first, so
+// victimLocked's TryLock never picks it.
+func (sh *shard) makeRoom(ctx context.Context) error {
 	for {
 		sh.mu.Lock()
-		if sh.draining {
-			sh.mu.Unlock()
-			return ErrShuttingDown
-		}
-		if len(sh.live) < sh.opts.MaxSessions {
-			e.lastUsed = sh.now()
-			sh.live[e.id] = e
+		if len(sh.live) <= sh.opts.MaxSessions {
 			sh.mu.Unlock()
 			return nil
 		}
-		victim := sh.victimLocked(nil)
+		victim := sh.victimLocked()
 		sh.mu.Unlock()
 		if victim == nil {
 			return ErrTooManySessions
@@ -176,19 +209,17 @@ func (sh *shard) install(ctx context.Context, e *entry) error {
 	}
 }
 
-// victimLocked picks the least-recently-used live entry (excluding
-// keep) whose lock is immediately free — an entry mid-request is never
-// evicted. Healthy entries are preferred over degraded ones: a degraded
-// session's last checkpoint failed, so evicting it will likely fail
-// again; it is chosen only when no healthy candidate exists, which
-// doubles as its recovery path once the store heals. Caller holds
-// sh.mu; the returned entry is locked.
-func (sh *shard) victimLocked(keep *entry) *entry {
-	var candidates []*entry
+// victimLocked picks the least-recently-used live entry whose lock is
+// immediately free — an entry mid-request is never evicted. Healthy
+// entries are preferred over degraded ones: a degraded session's last
+// checkpoint failed, so evicting it will likely fail again; it is
+// chosen only when no healthy candidate exists, which doubles as its
+// recovery path once the store heals. Caller holds sh.mu; the returned
+// entry is locked.
+func (sh *shard) victimLocked() *entry {
+	candidates := make([]*entry, 0, len(sh.live))
 	for _, e := range sh.live {
-		if e != keep {
-			candidates = append(candidates, e)
-		}
+		candidates = append(candidates, e)
 	}
 	sort.Slice(candidates, func(i, j int) bool {
 		di, dj := sh.degraded[candidates[i].id], sh.degraded[candidates[j].id]
@@ -214,17 +245,13 @@ func (sh *shard) victimLocked(keep *entry) *entry {
 //
 // The invariant this method protects: a session leaves the live map
 // only after its checkpoint durably landed. If the Put exhausts the
-// retry policy the session stays live and is marked degraded — serving
-// continues from memory, nothing submitted is lost, and a later
-// checkpoint (Sweep, Snapshot, Shutdown, or a forced eviction) retries
-// and clears the mark.
+// retry policy the session stays live, unchanged, and is marked
+// degraded — serving continues from memory, nothing submitted is lost,
+// a presented round stays presented, and a later checkpoint (Sweep,
+// Snapshot, Shutdown, or a forced eviction) retries and clears the
+// mark.
 func (sh *shard) evict(ctx context.Context, e *entry) error {
 	defer e.mu.Unlock()
-	// An unsubmitted round is dropped: it carries no annotator evidence,
-	// and resuming rebuilds the pool from submitted history so its pairs
-	// become presentable again (with the same draws: the discard rewinds
-	// the learner RNG).
-	e.sess.DiscardPending()
 	if err := sh.checkpointLocked(ctx, e); err != nil {
 		return err
 	}
@@ -236,15 +263,19 @@ func (sh *shard) evict(ctx context.Context, e *entry) error {
 	return nil
 }
 
-// checkpointLocked snapshots a locked entry into the store under its
-// own id — the one checkpoint step behind eviction, explicit snapshots,
-// the drain's CheckpointEvery and genesis. A landed snapshot supersedes
+// checkpointLocked snapshots a locked entry's submitted rounds into
+// the store under its own id — the one checkpoint step behind
+// eviction, explicit snapshots, the drain's CheckpointEvery and
+// genesis. An unsubmitted round is left out of the snapshot: it
+// carries no annotator evidence, and a session resumed from the
+// snapshot rebuilds its pool from submitted history and rewinds the
+// learner RNG to before the round, so it draws the same pairs again.
+// In memory the round stays presented. A landed snapshot supersedes
 // the WAL deltas still pending and heals the degraded mark; a Put that
 // exhausts the retry policy marks the session degraded, and serving
-// continues from memory. A snapshot that cannot be taken (a round is
-// pending) writes nothing and marks nothing.
+// continues from memory.
 func (sh *shard) checkpointLocked(ctx context.Context, e *entry) error {
-	snap, err := e.sess.Snapshot()
+	snap, err := e.sess.SnapshotSubmitted()
 	if err != nil {
 		return err
 	}
@@ -279,15 +310,11 @@ func (sh *shard) setDegraded(id string, sick bool) {
 // acquire returns the locked entry for id, transparently unparking an
 // evicted session. The caller must unlock it. Lookup loops because an
 // entry can be evicted between the map read and winning its lock.
-func (sh *shard) acquire(ctx context.Context, id string) (*entry, error) {
-	return sh.acquireOpt(ctx, id, false)
-}
-
-// acquireOpt is acquire with one extra caller: the labelpool drain,
-// which must keep applying queued submissions while the shard drains
-// (shutdown flushes the pools before checkpointing, so a submission
-// accepted with a ticket is never silently dropped).
-func (sh *shard) acquireOpt(ctx context.Context, id string, evenWhileDraining bool) (*entry, error) {
+// evenWhileDraining serves the labelpool drain, which must keep
+// applying queued submissions while the shard drains (shutdown flushes
+// the pools before checkpointing, so a submission accepted with a
+// ticket is never silently dropped).
+func (sh *shard) acquire(ctx context.Context, id string, evenWhileDraining bool) (*entry, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -314,59 +341,37 @@ func (sh *shard) acquireOpt(ctx context.Context, id string, evenWhileDraining bo
 		}
 		// Unpark: insert a locked placeholder so concurrent requests for
 		// the same id queue on its lock instead of double-resuming, then
-		// do the store read and replay without holding the shard lock.
+		// make room and do the store read and replay without holding the
+		// shard lock. Any failure rolls the placeholder back to parked.
 		e := &entry{id: id, spec: spec, lastUsed: sh.now()}
 		e.mu.Lock() //etlint:ignore lockorder freshly allocated placeholder locked before publication in sh.live; nothing else can hold it, so the entry→shard edge of the order can't close a cycle
 		delete(sh.parked, id)
 		sh.live[id] = e
-		over := len(sh.live) > sh.opts.MaxSessions
 		sh.mu.Unlock()
 
-		if over {
-			// Over capacity after insertion: make room. Failure rolls the
-			// placeholder back to parked.
-			if err := sh.makeRoomFor(ctx, e); err != nil {
-				sh.unparkFailed(e)
-				return nil, err
-			}
-		}
+		err := sh.makeRoom(ctx)
 		var snap *persist.Snapshot
-		err := sh.storeRetry(ctx, "loading snapshot "+id, func(ctx context.Context) error {
-			var gerr error
-			snap, gerr = sh.store.Get(ctx, id)
-			return gerr
-		})
+		if err == nil {
+			err = sh.storeRetry(ctx, "loading snapshot "+id, func(ctx context.Context) error {
+				var gerr error
+				snap, gerr = sh.store.Get(ctx, id)
+				return gerr
+			})
+		}
 		var built *entry
 		if err == nil {
 			built, err = newEntry(spec, snap, sh.appender != nil, func() (string, error) { return id, nil })
 		}
-		if err == nil {
-			// The snapshot just resumed from IS the entry's base snapshot.
-			e.sess, e.stats, e.wal, e.walBased = built.sess, built.stats, built.wal, true
-			return e, nil
+		if err != nil {
+			sh.unparkFailed(e)
+			return nil, fmt.Errorf("service: resuming parked session %q: %w", id, err)
 		}
-		sh.unparkFailed(e)
-		return nil, fmt.Errorf("service: resuming parked session %q: %w", id, err)
-	}
-}
-
-// makeRoomFor evicts LRU entries other than keep until the shard is
-// within capacity. Caller holds keep's lock.
-func (sh *shard) makeRoomFor(ctx context.Context, keep *entry) error {
-	for {
+		// Published under the shard lock, which Health reads e.wal under.
+		// The snapshot just resumed from IS the entry's base snapshot.
 		sh.mu.Lock()
-		if len(sh.live) <= sh.opts.MaxSessions {
-			sh.mu.Unlock()
-			return nil
-		}
-		victim := sh.victimLocked(keep)
+		e.sess, e.stats, e.wal, e.walBased = built.sess, built.stats, built.wal, true
 		sh.mu.Unlock()
-		if victim == nil {
-			return ErrTooManySessions
-		}
-		if err := sh.evict(ctx, victim); err != nil {
-			return err
-		}
+		return e, nil
 	}
 }
 
@@ -381,46 +386,34 @@ func (sh *shard) unparkFailed(e *entry) {
 	e.mu.Unlock()
 }
 
-// infoOf renders a locked (or freshly built) entry.
-func (sh *shard) infoOf(e *entry, parked bool) Info {
+// infoOf renders a locked live entry.
+func (sh *shard) infoOf(e *entry) Info {
 	sh.mu.Lock()
 	degraded := sh.degraded[e.id]
 	sh.mu.Unlock()
-	info := Info{
-		ID:       e.id,
-		Method:   e.spec.Method.Resolve(),
-		K:        e.spec.K,
-		Parked:   parked,
-		Degraded: degraded,
+	return Info{
+		ID:        e.id,
+		Method:    e.spec.Method.Resolve(),
+		K:         e.spec.K,
+		Rounds:    e.sess.Rounds(),
+		Pending:   e.sess.PendingCount(),
+		Remaining: e.sess.RemainingPairs(),
+		Degraded:  degraded,
+		Rows:      e.sess.Relation().NumRows(),
+		Space:     e.sess.Belief().Size(),
 	}
-	if e.sess != nil {
-		info.Rounds = e.sess.Rounds()
-		info.Pending = e.sess.PendingCount()
-		info.Remaining = e.sess.RemainingPairs()
-		info.Rows = e.sess.Relation().NumRows()
-		info.Space = e.sess.Belief().Size()
-	}
-	return info
 }
 
-// Get returns a session's state. A parked session is reported from
-// its parked metadata without resuming it.
-func (sh *shard) Get(ctx context.Context, id string) (Info, error) {
-	if err := ctx.Err(); err != nil {
-		return Info{}, err
-	}
+// parkedInfo reports a parked session from its parked metadata,
+// without resuming it; ok is false when id is not parked here.
+func (sh *shard) parkedInfo(id string) (info Info, ok bool) {
 	sh.mu.Lock()
-	if spec, ok := sh.parked[id]; ok {
-		sh.mu.Unlock()
-		return Info{ID: id, Method: spec.Method.Resolve(), K: spec.K, Parked: true}, nil
+	defer sh.mu.Unlock()
+	spec, ok := sh.parked[id]
+	if !ok {
+		return Info{}, false
 	}
-	sh.mu.Unlock()
-	e, err := sh.acquire(ctx, id)
-	if err != nil {
-		return Info{}, err
-	}
-	defer e.mu.Unlock()
-	return sh.infoOf(e, false), nil
+	return Info{ID: id, Method: spec.Method.Resolve(), K: spec.K, Parked: true}, true
 }
 
 // List reports every session homed here, live and parked, ordered by
@@ -442,48 +435,6 @@ func (sh *shard) List(ctx context.Context) ([]Info, error) {
 	sh.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// Next presents the session's next round of pairs.
-func (sh *shard) Next(ctx context.Context, id string) ([]PairView, error) {
-	e, err := sh.acquire(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	defer e.mu.Unlock()
-	pairs, err := e.sess.NextContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sh.notifyStreams(id)
-	return renderPairs(e.sess.Relation(), pairs), nil
-}
-
-// Submit consumes the pending round's annotations under the Manager's
-// idempotency contract (see Manager.Submit).
-func (sh *shard) Submit(ctx context.Context, id string, round int, labeled []belief.Labeling) (Info, error) {
-	e, err := sh.acquire(ctx, id)
-	if err != nil {
-		return Info{}, err
-	}
-	defer e.mu.Unlock()
-	cur := e.sess.Rounds()
-	if round != UncheckedRound && round != cur {
-		if round > cur {
-			return Info{}, fmt.Errorf("%w: round %d is ahead of the current round %d", ErrRoundMismatch, round, cur)
-		}
-		if err := replayedLocked(e, round, labeled); err != nil {
-			return Info{}, err
-		}
-		return sh.infoOf(e, false), nil
-	}
-	if e.sess.PendingCount() == 0 {
-		return Info{}, fmt.Errorf("%w; call Next first", game.ErrNoRoundPending)
-	}
-	if _, err := sh.applyLocked(ctx, e, []poolItem{{round: cur, labeled: labeled}}); err != nil {
-		return Info{}, err
-	}
-	return sh.infoOf(e, false), nil
 }
 
 // replayedLocked resolves a submission for a round the session already
@@ -535,104 +486,6 @@ func (sh *shard) applyLocked(ctx context.Context, e *entry, run []poolItem) (int
 		sh.kickDrain(p)
 	}
 	return applied, err
-}
-
-// TopBelief returns the session's k leading hypotheses.
-func (sh *shard) TopBelief(ctx context.Context, id string, k int) ([]HypothesisView, error) {
-	e, err := sh.acquire(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	defer e.mu.Unlock()
-	if k <= 0 {
-		k = 10
-	}
-	b := e.sess.Belief()
-	names := e.sess.Relation().Schema().Names()
-	var out []HypothesisView
-	for _, i := range b.TopK(k) {
-		lo, hi := b.CredibleInterval(i, 0.9)
-		out = append(out, HypothesisView{
-			FD:         b.Space().FD(i).Render(names),
-			Confidence: b.Confidence(i),
-			CILow:      lo,
-			CIHigh:     hi,
-		})
-	}
-	return out, nil
-}
-
-// Repairs derives cell repairs from the session's believed FDs.
-func (sh *shard) Repairs(ctx context.Context, id string, tau float64) ([]RepairView, error) {
-	e, err := sh.acquire(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	defer e.mu.Unlock()
-	if tau <= 0 {
-		tau = 0.5
-	}
-	b := e.sess.Belief()
-	var believed []repair.BelievedFD
-	for _, f := range b.BelievedFDs(tau) {
-		i, ok := b.Space().Index(f)
-		if !ok {
-			continue
-		}
-		believed = append(believed, repair.BelievedFD{FD: f, Confidence: b.Confidence(i)})
-	}
-	rel := e.sess.Relation()
-	suggestions, err := repair.Suggest(rel, believed, repair.Config{})
-	if err != nil {
-		return nil, err
-	}
-	names := rel.Schema().Names()
-	out := make([]RepairView, len(suggestions))
-	for i, s := range suggestions {
-		out[i] = RepairView{
-			Row:        s.Row,
-			Attr:       names[s.Attr],
-			Old:        s.Old,
-			New:        s.New,
-			Confidence: s.Confidence,
-			Source:     s.Source.Render(names),
-		}
-	}
-	return out, nil
-}
-
-// Snapshot checkpoints the session into the store under its own id
-// and returns that id. The session stays live; a checkpoint that lands
-// heals a degraded session, as its state is durable again.
-func (sh *shard) Snapshot(ctx context.Context, id string) (string, error) {
-	e, err := sh.acquire(ctx, id)
-	if err != nil {
-		return "", err
-	}
-	defer e.mu.Unlock()
-	if err := sh.checkpointLocked(ctx, e); err != nil {
-		return "", err
-	}
-	return e.id, nil
-}
-
-// Evict checkpoints the session and parks it, freeing its memory. The next access transparently resumes it.
-func (sh *shard) Evict(ctx context.Context, id string) error {
-	e, err := sh.acquire(ctx, id)
-	if err != nil {
-		return err
-	}
-	return sh.evict(ctx, e) // releases the lock
-}
-
-// Rounds returns the session's per-round measurement series.
-func (sh *shard) Rounds(ctx context.Context, id string) ([]RoundView, error) {
-	e, err := sh.acquire(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	defer e.mu.Unlock()
-	return append([]RoundView(nil), e.stats.rounds...), nil
 }
 
 // Sweep parks every session idle for at least the IdleTTL and returns
@@ -694,10 +547,10 @@ func (sh *shard) Counts() (live, parked int) {
 // goroutines, then checkpoint every live session. The caller must have
 // called setDraining first — the flag must be observable before the
 // pools flush, or an enqueue racing shutdown could slip items in after
-// its pool drained (see EnqueueSubmissions).
+// its pool drained (see Manager.EnqueueSubmissions).
 func (sh *shard) shutdown(ctx context.Context) error {
-	// Flush the labelpools before checkpointing: drains run under
-	// acquireOpt(evenWhileDraining), so every queued round lands in its
+	// Flush the labelpools before checkpointing: drains acquire even
+	// while draining, so every queued round lands in its
 	// session before that session's snapshot is taken.
 	sh.flushPools()
 	sh.drainWG.Wait()

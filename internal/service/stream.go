@@ -40,31 +40,6 @@ type StreamChunk struct {
 	Remaining int
 }
 
-// StreamChunk reads the session's stream state from a
-// round cursor.
-func (sh *shard) StreamChunk(ctx context.Context, id string, from int) (StreamChunk, error) {
-	e, err := sh.acquire(ctx, id)
-	if err != nil {
-		return StreamChunk{}, err
-	}
-	defer e.mu.Unlock()
-	c := StreamChunk{
-		Total:     len(e.stats.rounds),
-		Remaining: e.sess.RemainingPairs(),
-	}
-	if from < 0 {
-		from = 0
-	}
-	if from < c.Total {
-		c.Rounds = append([]RoundView(nil), e.stats.rounds[from:]...)
-	}
-	if pending := e.sess.Pending(); len(pending) > 0 {
-		c.Pending = renderPairs(e.sess.Relation(), pending)
-		c.PendingRound = e.sess.Rounds()
-	}
-	return c, nil
-}
-
 // subscribeStream registers a wakeup channel for the session's
 // activity: notifyStreams pokes it (coalescing, capacity 1) whenever a
 // round is presented or applied. The returned cancel must be called.
@@ -107,7 +82,26 @@ func (m *Manager) DrainSignal() <-chan struct{} { return m.drainSignal }
 
 // StreamChunk reads the session's stream state from a round cursor.
 func (m *Manager) StreamChunk(ctx context.Context, id string, from int) (StreamChunk, error) {
-	return m.shardFor(id).StreamChunk(ctx, id, from)
+	_, e, err := m.lock(ctx, id)
+	if err != nil {
+		return StreamChunk{}, err
+	}
+	defer e.mu.Unlock()
+	c := StreamChunk{
+		Total:     len(e.stats.rounds),
+		Remaining: e.sess.RemainingPairs(),
+	}
+	if from < 0 {
+		from = 0
+	}
+	if from < c.Total {
+		c.Rounds = append([]RoundView(nil), e.stats.rounds[from:]...)
+	}
+	if pending := e.sess.Pending(); len(pending) > 0 {
+		c.Pending = renderPairs(e.sess.Relation(), pending)
+		c.PendingRound = e.sess.Rounds()
+	}
+	return c, nil
 }
 
 // subscribeStream registers a wakeup channel on the session's home
